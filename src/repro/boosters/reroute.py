@@ -16,14 +16,15 @@ variant for the selective-reroute ablation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..core.booster import Booster, GatedProgram
 from ..core.dataflow import DataflowGraph
 from ..core.ppm import PpmRole
 from ..dataplane.resources import ResourceVector
-from ..netsim.fluid import FluidNetwork
+from ..netsim.fluid import FluidNetwork, LinkKey
 from ..netsim.packet import Packet, PacketKind, Protocol
 from ..netsim.routing import Path, install_flow_route
 from ..netsim.switch import Consume, ProgrammableSwitch, ProgramResult
@@ -135,6 +136,19 @@ class HulaProbeProgram(GatedProgram):
     def import_state(self, state: Dict) -> None:
         for origin, (util, nxt, at, hops) in state.get("best", {}).items():
             self.best[origin] = BestPathEntry(util, nxt, at, hops)
+
+
+def _worst_utilization(topo, link_keys: Iterable[LinkKey]) -> float:
+    """Highest utilization along ``link_keys``; ``inf`` when one of the
+    links no longer exists (failed or removed)."""
+    links = topo.links
+    worst = 0.0
+    for key in link_keys:
+        link = links.get(key)
+        if link is None:
+            return math.inf
+        worst = max(worst, link.utilization)
+    return worst
 
 
 class CongestionRerouteBooster(Booster):
@@ -260,19 +274,20 @@ class CongestionRerouteBooster(Booster):
         nodes = [flow.src] + new_path + [flow.dst]
         if flow.path is not None and tuple(nodes) == flow.path.nodes:
             return
+        candidate_util = _worst_utilization(topo, zip(nodes, nodes[1:]))
+        if candidate_util == math.inf:
+            return  # stale probe state: the walk crosses a failed link
         already_steered = flow.flow_id in self._original_paths
         if already_steered and flow.path is not None:
             # Stickiness: once on a detour, a flow only moves again when
             # its current path is itself congested AND the candidate is
             # clearly better.  Continuously chasing the emptiest path
             # would make the whole steered herd oscillate between
-            # equally attractive detours.
-            current_util = max(topo.link(a, b).utilization
-                               for a, b in flow.path.link_keys)
+            # equally attractive detours.  A failed link on the current
+            # path counts as infinitely congested, forcing a re-steer.
+            current_util = _worst_utilization(topo, flow.path.link_keys)
             if current_util < self.re_steer_threshold:
                 return
-            candidate_util = max(topo.link(a, b).utilization
-                                 for a, b in zip(nodes, nodes[1:]))
             if candidate_util > current_util - self.improvement_margin:
                 return
         if not already_steered and flow.path is not None:

@@ -17,8 +17,9 @@ without simulating each connection.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .packet import FlowKey, Protocol
 from .routing import Path
@@ -188,7 +189,26 @@ class FlowSet:
         return len(self._flows)
 
     def active(self, now: float) -> List[Flow]:
-        return [f for f in self._flows.values() if f.active(now)]
+        return self.active_until(now)[0]
+
+    def active_until(self, now: float) -> Tuple[List[Flow], float]:
+        """The flows active at ``now`` and the earliest later start or
+        end time — until then (and unless :attr:`version` moves) the
+        active set cannot change.  ``inf`` when no such time is left."""
+        active = []
+        boundary = math.inf
+        for flow in self._flows.values():
+            # Flow.active, inlined: this runs over every flow.
+            start = flow.start_time
+            end = flow.end_time
+            if now < start:
+                if start < boundary:
+                    boundary = start
+            elif end is None or now < end:
+                active.append(flow)
+                if end is not None and end < boundary:
+                    boundary = end
+        return active, boundary
 
     def normal(self) -> List[Flow]:
         return [f for f in self._flows.values() if not f.malicious]

@@ -33,7 +33,14 @@ of simulated time in every experiment):
 * :meth:`FluidNetwork.update` has a **steady-state fast path**: when
   neither the topology version, the flow-set version, nor the active
   flow set changed since the last pass, the previous
-  :class:`AllocationResult` is reused and only smoothing/accounting run.
+  :class:`AllocationResult` is reused and the allocator does not run.
+  The active set itself is rebuilt only when the flow-set version moves
+  or the clock reaches the next flow start/end time.
+* Its commit has a **settled epoch**: when the reused result, the
+  topology version and the pins match the last full commit and every
+  elastic flow's smoothing step is an exact float no-op, the commit only
+  adds each flow's delivered bytes — no per-link work, no survival
+  products — and every float matches the full commit bit for bit.
 
 The pre-optimization algorithm is kept verbatim (plus the shared epsilon
 and stall-guard fixes) as :func:`max_min_allocate_reference`; a seeded
@@ -45,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..telemetry import metrics, trace
 from .engine import PeriodicProcess, Simulator
@@ -54,9 +61,10 @@ from .topology import Topology
 
 LinkKey = Tuple[str, str]
 
-# Cached process-wide telemetry (DESIGN.md "Telemetry"): one attribute
-# add per epoch / per pass; the steady-state fast path pays exactly two
-# counter increments and one flag test, nothing else.
+# Cached process-wide telemetry (DESIGN.md "Telemetry"): each counter
+# increment is one attribute add.  A reused epoch pays two (updates,
+# fast-path hits); an allocation pass pays three plus the trace flag
+# test.
 _MET = metrics()
 _TRACE = trace()
 _C_UPDATES = _MET.counter(
@@ -84,6 +92,14 @@ SATURATION_EPS = 1e-9
 
 #: Demand-reached test threshold, as a fraction of the flow's demand.
 DEMAND_EPS = 1e-9
+
+#: :class:`FluidNetwork` attributes derived from the rest of its state
+#: (the active-flow cache and the settled-epoch record); checkpoints
+#: leave them out.
+_CACHE_FIELDS = ("_active", "_next_boundary", "_settled_result",
+                 "_settled_topo_version", "_settled_rate_pins",
+                 "_settled_loss_pins", "_settled_elastic",
+                 "_settled_goodput")
 
 
 @dataclass
@@ -388,10 +404,10 @@ class FluidNetwork:
     Steady-state fast path: an epoch whose allocation inputs are
     unchanged — same topology version, same flow-set version, same set of
     active flows — reuses the previous :class:`AllocationResult` instead
-    of re-running the allocator; only smoothing and delivery accounting
-    run.  :attr:`allocation_passes` counts actual allocator runs and
-    :attr:`updates` counts epochs (their difference is the number of
-    epochs the fast path served).
+    of re-running the allocator; only the commit (smoothing and delivery
+    accounting, see :meth:`_commit`) runs.  :attr:`allocation_passes`
+    counts actual allocator runs and :attr:`updates` counts epochs (their
+    difference is the number of epochs the fast path served).
     """
 
     def __init__(self, topo: Topology, flows: Optional[FlowSet] = None,
@@ -424,6 +440,35 @@ class FluidNetwork:
         self._seen_topo_version = -1
         self._seen_flow_version = -1
         self._active_ids: Optional[FrozenSet[int]] = None
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
+        """Forget the per-epoch caches (:data:`_CACHE_FIELDS`); the next
+        update rebuilds the active list and runs the full commit."""
+        #: Active flows as of the last rebuild, valid until the clock
+        #: reaches ``_next_boundary`` or the flow-set version moves.
+        self._active: List[Flow] = []
+        self._next_boundary = -math.inf
+        #: What the last full commit settled on (see :meth:`_commit`).
+        self._settled_result: Optional[AllocationResult] = None
+        self._settled_topo_version = -1
+        self._settled_rate_pins: Dict[int, float] = {}
+        self._settled_loss_pins: Dict[int, Tuple[float, ...]] = {}
+        self._settled_elastic: List[Tuple[Flow, float]] = []
+        self._settled_goodput: List[Tuple[Flow, float]] = []
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The caches are derived state: a checkpoint leaves them out and
+        # a restored network rebuilds them with one full commit, which
+        # writes the same floats a settled epoch would have kept.
+        state = self.__dict__.copy()
+        for name in _CACHE_FIELDS:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._reset_caches()
 
     # ------------------------------------------------------------------
     def start(self) -> "FluidNetwork":
@@ -438,7 +483,7 @@ class FluidNetwork:
 
     # ------------------------------------------------------------------
     def update(self) -> AllocationResult:
-        """Run one allocation pass and commit it to flows and links."""
+        """Run one allocation pass (or reuse the last) and commit it."""
         now = self.sim.now
         dt = (0.0 if self._last_update is None
               else now - self._last_update)
@@ -446,10 +491,18 @@ class FluidNetwork:
         self.updates += 1
         _C_UPDATES.inc()
 
-        active = self.flows.active(now)
-        active_ids = frozenset(f.flow_id for f in active)
         topo_version = self.topo.version
         flow_version = self.flows.version
+        if (flow_version != self._seen_flow_version
+                or now >= self._next_boundary):
+            active, self._next_boundary = self.flows.active_until(now)
+            self._active = active
+            active_ids = frozenset(f.flow_id for f in active)
+        else:
+            # No flow crossed a start/end time and nothing mutated the
+            # set: the active flows are the ones the last rebuild found.
+            active = self._active
+            active_ids = self._active_ids
         if (self.last_result is None
                 or topo_version != self._seen_topo_version
                 or flow_version != self._seen_flow_version
@@ -468,27 +521,71 @@ class FluidNetwork:
                     topo_version=topo_version,
                     flow_version=flow_version,
                     pass_number=self.allocation_passes)
+            reused = False
         else:
             result = self.last_result
             _C_FASTPATH_HITS.inc()
+            reused = True
 
-        # Smooth elastic rates toward their allocation; account delivery.
-        # This commit loop runs once per flow per epoch — the dominant
-        # *linear* cost of an update — so per-flow attribute traffic is
-        # routed through ``flow.__dict__`` directly.  That is safe only
-        # because every field written here (rate_bps, goodput_bps,
-        # loss_rate, bytes_delivered) is an allocation *output*, outside
-        # ``_ALLOC_FIELDS``, for which ``Flow.__setattr__`` is a plain
-        # ``object.__setattr__`` with no dirty notification.
         alpha = 1.0 if self.tcp_tau <= 0 or dt <= 0 else \
             1.0 - math.exp(-dt / self.tcp_tau)
+        self._commit(result, now, dt, alpha, record=reused)
+
+        self.last_result = result
+        for observer in self.on_update:
+            observer(now, result)
+        return result
+
+    def _commit(self, result: AllocationResult, now: float, dt: float,
+                alpha: float, record: bool) -> None:
+        """Smooth flow rates toward ``result``, account delivery, and
+        publish link loads.
+
+        **Settled epoch (early exit).**  A full commit of a reused
+        result (``record``) records the flows it smoothed and accounted,
+        with their targets and goodputs; one that follows an allocation
+        pass records nothing, since its flows are still moving — so an
+        allocator that runs every epoch pays nothing for the record.
+        The next epoch is *settled* when it commits the same result
+        object against the same topology version and the same pins, and
+        every recorded elastic flow's smoothing step is an exact float
+        no-op for this epoch's ``alpha``.  The full commit would then
+        rewrite every rate, loss, goodput and link load with the value
+        already there, so a settled epoch only adds each recorded flow's
+        delivery for its own ``dt``.
+        """
+        rate_pins = self.rate_pins
+        loss_pins = self.loss_pins
+        if (result is self._settled_result
+                and self.topo.version == self._settled_topo_version
+                and rate_pins == self._settled_rate_pins
+                and loss_pins == self._settled_loss_pins):
+            for flow, target in self._settled_elastic:
+                rate = flow.__dict__["rate_bps"]
+                if rate + (target - rate) * alpha != rate:
+                    break
+            else:
+                for flow, goodput in self._settled_goodput:
+                    fd = flow.__dict__
+                    fd["bytes_delivered"] = (fd["bytes_delivered"]
+                                             + goodput * dt / 8.0)
+                return
+
+        # Full commit.  It runs once per flow per epoch — the dominant
+        # *linear* cost of an unsettled update — so per-flow attribute
+        # traffic is routed through ``flow.__dict__`` directly.  That is
+        # safe only because every field written here (rate_bps,
+        # goodput_bps, loss_rate, bytes_delivered) is an allocation
+        # *output*, outside ``_ALLOC_FIELDS``, for which
+        # ``Flow.__setattr__`` is a plain ``object.__setattr__`` with no
+        # dirty notification.
         smoothed_load: Dict[LinkKey, float] = {
             key: 0.0 for key in self.topo.links}
         live_keys = set(smoothed_load)
-        rate_pins = self.rate_pins
-        loss_pins = self.loss_pins
         rates = result.rates
         link_loss = result.link_loss
+        settled_elastic: List[Tuple[Flow, float]] = []
+        settled_goodput: List[Tuple[Flow, float]] = []
         for flow in self.flows:
             fd = flow.__dict__
             if not flow.active(now):
@@ -512,6 +609,8 @@ class FluidNetwork:
             if fd["elastic"]:
                 rate = fd["rate_bps"]
                 rate += (target - rate) * alpha
+                if record:
+                    settled_elastic.append((flow, target))
             else:
                 rate = target
             fd["rate_bps"] = rate
@@ -528,15 +627,22 @@ class FluidNetwork:
             goodput = rate * survival
             fd["goodput_bps"] = goodput
             fd["bytes_delivered"] = fd["bytes_delivered"] + goodput * dt / 8.0
+            if record:
+                settled_goodput.append((flow, goodput))
 
         # Publish loads so packet-level traffic sees congestion.
         for key, link in self.topo.links.items():
             link.fluid_load_bps = smoothed_load.get(key, 0.0)
 
-        self.last_result = result
-        for observer in self.on_update:
-            observer(now, result)
-        return result
+        if not record:
+            self._settled_result = None
+            return
+        self._settled_result = result
+        self._settled_topo_version = self.topo.version
+        self._settled_rate_pins = dict(rate_pins)
+        self._settled_loss_pins = dict(loss_pins)
+        self._settled_elastic = settled_elastic
+        self._settled_goodput = settled_goodput
 
     # ------------------------------------------------------------------
     # Queries used by detectors and experiments

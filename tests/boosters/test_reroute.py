@@ -2,6 +2,9 @@
 
 
 from repro.boosters import CongestionRerouteBooster, HulaProbeProgram
+from repro.experiments.figure3 import (Figure3Config, advance_world,
+                                       build_world, fail_link,
+                                       finish_world)
 from repro.netsim import Packet, PacketKind, Protocol
 from tests.boosters.test_lfa_detector import (add_bot_flood,
                                               attacked_deployment)
@@ -151,3 +154,23 @@ class TestFlowSteering:
         for flow in flows.normal():
             assert flow.path is not None
         del attack_paths_during
+
+    def test_failed_link_under_steered_flows_forces_re_steer(self):
+        # A FastFlex figure3 world under attack has steered the attack
+        # flows over s3-s4 by t=25; failing that link must not crash the
+        # steering loop, and every steered flow must leave the dead link.
+        world = build_world("fastflex",
+                            Figure3Config(duration_s=30.0, seed=0))
+        advance_world(world, until=25.0)
+        dead = {("s3", "s4"), ("s4", "s3")}
+        stranded = [f for f in world.flows
+                    if f.path is not None
+                    and dead.intersection(f.path.link_keys)]
+        assert stranded, "scenario no longer routes a flow over s3-s4"
+        fail_link(world, "s3", "s4")
+        advance_world(world)
+        finish_world(world)
+        assert world.done
+        for flow in stranded:
+            assert not dead.intersection(flow.path.link_keys), flow.path
+            assert flow.goodput_bps > 0

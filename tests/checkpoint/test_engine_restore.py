@@ -34,7 +34,20 @@ def run_world_to_end(system, config=CONFIG):
     world = build_world(system, config)
     advance_world(world)
     result = finish_world(world)
-    return result, stable_metrics(telemetry.metrics().snapshot())
+    return result, stable_metrics(telemetry.metrics().snapshot()), world
+
+
+def fluid_outputs(world):
+    """Every fluid-model output of a world, as exact float bit patterns:
+    per flow (in registration order — restored flows may carry other
+    ids) and per link."""
+    flows = [tuple(float.hex(value) for value in
+                   (f.rate_bps, f.goodput_bps, f.loss_rate,
+                    f.bytes_delivered))
+             for f in world.flows]
+    links = {key: float.hex(link.fluid_load_bps)
+             for key, link in world.net.topo.links.items()}
+    return flows, links
 
 
 def poison_process_state():
@@ -47,7 +60,8 @@ def poison_process_state():
 class TestFigure3KillRestore:
     @pytest.mark.parametrize("system", ["fastflex", "baseline_sdn"])
     def test_restored_run_matches_uninterrupted(self, tmp_path, system):
-        reference, reference_metrics = run_world_to_end(system)
+        reference, reference_metrics, reference_world = \
+            run_world_to_end(system)
 
         telemetry.reset()
         world = build_world(system, CONFIG)
@@ -68,9 +82,10 @@ class TestFigure3KillRestore:
             [d.time for d in reference.detections]
         assert stable_metrics(telemetry.metrics().snapshot()) == \
             reference_metrics
+        assert fluid_outputs(restored) == fluid_outputs(reference_world)
 
     def test_snapshot_is_observationally_free(self, tmp_path):
-        reference, reference_metrics = run_world_to_end("fastflex")
+        reference, reference_metrics, _ = run_world_to_end("fastflex")
         telemetry.reset()
         world = build_world("fastflex", CONFIG)
         for index in range(4):  # checkpoint four times mid-run
